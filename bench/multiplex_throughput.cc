@@ -3,8 +3,9 @@
 //
 // The batch service runs each query to completion on one worker, so a
 // query admitted behind the batch waits for a free slot before making any
-// progress. The cooperative scheduler steps all M sessions round-robin at
-// slice granularity: every query starts optimizing almost immediately and
+// progress. The online scheduler, driven here as a closed batch (submit
+// every task, then Stop()), steps all M sessions round-robin at slice
+// granularity: every query starts optimizing almost immediately and
 // per-query completion latency is bounded by total_work / threads instead
 // of queue position. Because each task's step sequence depends only on its
 // own seed, the per-task frontiers must stay bitwise identical to a
@@ -32,7 +33,7 @@
 #include "common/flags.h"
 #include "core/rmq.h"
 #include "service/batch_optimizer.h"
-#include "service/cooperative_scheduler.h"
+#include "service/online_scheduler.h"
 
 using namespace moqo;
 
@@ -55,6 +56,20 @@ LatencyStats Latencies(const BatchReport& report) {
   stats.p50 = Percentile(elapsed, 0.50);
   stats.p95 = Percentile(elapsed, 0.95);
   return stats;
+}
+
+/// Runs `tasks` as a closed batch: every task is admitted (arming its
+/// deadline, if any) before the workers start, and the report's wall clock
+/// spans construction to the last completion.
+BatchReport RunClosedBatch(int threads, int steps_per_slice,
+                           const OptimizerFactory& make_optimizer,
+                           const std::vector<BatchTask>& tasks) {
+  OnlineConfig config;
+  config.num_threads = threads;
+  config.steps_per_slice = steps_per_slice;
+  OnlineScheduler service(config, make_optimizer);
+  for (const BatchTask& task : tasks) service.Submit(task);
+  return service.Stop();
 }
 
 void PrintRow(const char* label, const BatchReport& report,
@@ -109,19 +124,14 @@ int main(int argc, char** argv) {
            CompareToReference(reference, reference));
 
   // Cooperative on one thread: pure multiplexing overhead, same bits.
-  CooperativeConfig single;
-  single.num_threads = 1;
-  single.steps_per_slice = steps_per_slice;
   BatchReport coop_single =
-      CooperativeScheduler(single, make_rmq).Run(tasks);
+      RunClosedBatch(1, steps_per_slice, make_rmq, tasks);
   BatchComparison cmp_single = CompareToReference(reference, coop_single);
   PrintRow("cooperative", coop_single, cmp_single);
 
   // Cooperative on N threads: M sessions multiplexed over the pool.
-  CooperativeConfig multi;
-  multi.num_threads = threads;
-  multi.steps_per_slice = steps_per_slice;
-  BatchReport coop_multi = CooperativeScheduler(multi, make_rmq).Run(tasks);
+  BatchReport coop_multi =
+      RunClosedBatch(threads, steps_per_slice, make_rmq, tasks);
   BatchComparison cmp_multi = CompareToReference(reference, coop_multi);
   PrintRow("cooperative", coop_multi, cmp_multi);
 

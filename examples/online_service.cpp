@@ -84,7 +84,7 @@ int main() {
       return 1;
     }
     std::cout << "query " << index << " migrated to the standby after "
-              << suspended->steps << " steps\n";
+              << suspended->state.steps << " steps\n";
     ++migrated;
   }
 

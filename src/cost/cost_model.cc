@@ -1,8 +1,9 @@
 #include "cost/cost_model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace moqo {
 
@@ -30,8 +31,14 @@ const std::vector<Metric>& DefaultMetricPool() {
 
 CostModel::CostModel(std::vector<Metric> metrics)
     : metrics_(std::move(metrics)) {
-  assert(!metrics_.empty());
-  assert(static_cast<int>(metrics_.size()) <= CostVector::kMaxMetrics);
+  // Checked in every build: cost vectors hold at most kMaxMetrics lanes
+  // inline, so a longer list would write past them.
+  if (metrics_.empty() ||
+      static_cast<int>(metrics_.size()) > CostVector::kMaxMetrics) {
+    throw std::invalid_argument(
+        "CostModel needs 1.." + std::to_string(CostVector::kMaxMetrics) +
+        " metrics, got " + std::to_string(metrics_.size()));
+  }
 }
 
 double CostModel::Pages(double card, double bytes) {

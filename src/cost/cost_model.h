@@ -66,7 +66,8 @@ const std::vector<Metric>& DefaultMetricPool();
 /// metrics. Stateless apart from the metric list; shared by all algorithms.
 class CostModel {
  public:
-  /// Builds a model over the given metrics (1..CostVector::kMaxMetrics).
+  /// Builds a model over the given metrics. Throws std::invalid_argument
+  /// unless there are 1..CostVector::kMaxMetrics of them.
   explicit CostModel(std::vector<Metric> metrics);
 
   /// Number of cost metrics l.

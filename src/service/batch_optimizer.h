@@ -1,7 +1,10 @@
 // Batch optimization service: runs an anytime optimizer over many queries
 // concurrently on a fixed-size thread pool, one task per worker until it
-// completes. For M-queries-over-N-threads multiplexing at step
-// granularity, see service/cooperative_scheduler.h.
+// completes. It is the blocking reference the service layer is checked
+// against: for M-queries-over-N-threads multiplexing at step granularity,
+// online admission, migration and sharding, see
+// service/online_scheduler.h, whose iteration-bounded frontiers must match
+// this class's bitwise.
 //
 // Determinism contract: every task owns an independent Rng seeded from
 // (master seed, task index), its own PlanFactory, and its own

@@ -32,12 +32,7 @@ SuspendedTask::~SuspendedTask() { Abandon(); }
 SuspendedTask& SuspendedTask::operator=(SuspendedTask&& other) noexcept {
   if (this != &other) {
     Abandon();
-    task = std::move(other.task);
-    checkpoint = std::move(other.checkpoint);
-    had_deadline = other.had_deadline;
-    remaining_micros = other.remaining_micros;
-    optimize_millis = other.optimize_millis;
-    steps = other.steps;
+    state = std::move(other.state);
     promise = std::move(other.promise);
     origin = std::move(other.origin);
     consumed_ = other.consumed_;
@@ -67,7 +62,6 @@ struct OnlineScheduler::OpenQuery {
   PlanFactory factory;
   std::unique_ptr<OptimizerSession> session;
   Deadline deadline;
-  bool had_deadline = false;
   /// Admission-relative absolute deadline (micros since epoch_); the EDF
   /// ready-queue key. Unused for deadline-free tasks.
   int64_t deadline_key_micros = 0;
@@ -87,6 +81,24 @@ struct OnlineScheduler::OpenQuery {
   /// consumed by the worker's first slice (BeginFrom instead of Begin).
   std::vector<PlanPtr> warm_plans;
   std::promise<BatchTaskResult> promise;
+
+  bool has_deadline() const { return task.deadline_micros > 0; }
+
+  /// The task state at a slice boundary — what Suspend() hands on and a
+  /// periodic snapshot publishes. Called only by the thread that owns the
+  /// query exclusively (a parked query's suspender, or the worker holding
+  /// the current slice), so the checkpoint is serialized outside mu_.
+  WireTask Capture() const {
+    WireTask state;
+    state.task = task;
+    if (has_deadline()) state.remaining_micros = deadline.RemainingMicros();
+    state.optimize_millis = optimize_millis;
+    if (begun) {
+      state.checkpoint = session->Checkpoint();
+      state.steps = session->session_stats().steps;
+    }
+    return state;
+  }
 };
 
 OnlineScheduler::OnlineScheduler(OnlineConfig config,
@@ -132,7 +144,7 @@ void OnlineScheduler::EnqueueAdmitted(std::unique_ptr<OpenQuery> owned,
   OpenQuery* q = owned.get();
   q->index = static_cast<int>(queries_.size());
   q->admit_micros = epoch_.ElapsedMicros();
-  if (q->had_deadline) {
+  if (q->has_deadline()) {
     // The deadline starts at admission: queueing delay counts against it.
     // The window is clamped (see kMaxDeadlineMicros), so adding it to the
     // admission timestamp cannot overflow the EDF key.
@@ -192,7 +204,6 @@ std::optional<std::future<BatchTaskResult>> OnlineScheduler::Submit(
     return ticket;
   }
   owned->session = make_optimizer_()->NewSession();
-  owned->had_deadline = task.deadline_micros > 0;
   if (cached != nullptr) {
     // Warm hit (same shape, different seed): rebuild the cached plans
     // through this task's own factory — deterministic cost restamping —
@@ -246,25 +257,16 @@ std::optional<SuspendedTask> OnlineScheduler::Suspend(
   // exclusively, so the (potentially large) checkpoint is serialized
   // without blocking the workers.
   lock.Unlock();
-  SuspendedTask out;
-  out.task = q->task;
-  out.had_deadline = q->had_deadline;
-  if (q->had_deadline) out.remaining_micros = q->deadline.RemainingMicros();
-  out.optimize_millis = q->optimize_millis;
-  if (q->begun) {
-    out.checkpoint = q->session->Checkpoint();
-    out.steps = q->session->session_stats().steps;
-  }
-  out.promise = std::move(q->promise);
+  SuspendedTask out(q->Capture(), std::move(q->promise));
 
   lock.Lock();
   BatchTaskResult& slot = results_[submission_index];
   slot.index = q->index;
   slot.migrated = true;
-  slot.had_deadline = q->had_deadline;
+  slot.had_deadline = q->has_deadline();
   slot.optimize_millis = q->optimize_millis;
   slot.admit_millis = static_cast<double>(q->admit_micros) / 1000.0;
-  slot.steps = out.steps;
+  slot.steps = out.state.steps;
   queries_[submission_index].reset();
   --open_;
   admit_cv_.NotifyOne();
@@ -284,20 +286,20 @@ bool OnlineScheduler::Resume(SuspendedTask& task) {
     MutexLock lock(mu_);
     if (!started_ || stopping_) return false;
   }
-  auto owned = std::make_unique<OpenQuery>(task.task, &model_);
+  const WireTask& state = task.state;
+  auto owned = std::make_unique<OpenQuery>(state.task, &model_);
   owned->session = make_optimizer_()->NewSession();
-  if (!task.checkpoint.empty()) {
+  if (!state.checkpoint.empty()) {
     // Restore eagerly (outside the lock) so a rejected checkpoint can be
     // reported to the caller instead of surfacing as a worker error.
     if (!owned->session->Restore(&owned->factory, &owned->rng,
-                                 task.checkpoint)) {
+                                 state.checkpoint)) {
       return false;
     }
     owned->begun = true;
   }
-  owned->had_deadline = task.had_deadline;
-  owned->optimize_millis = task.optimize_millis;
-  int64_t window = task.remaining_micros;
+  owned->optimize_millis = state.optimize_millis;
+  int64_t window = state.remaining_micros;
   if (window < 0) window = 0;
   if (window > kMaxDeadlineMicros) window = kMaxDeadlineMicros;
 
@@ -363,12 +365,12 @@ OnlineScheduler::ReadyItem OnlineScheduler::MakeReadyItem(OpenQuery* query) {
       item.primary = 0.0;
       break;
     case SchedulingPolicy::kEarliestDeadlineFirst:
-      item.primary = query->had_deadline
+      item.primary = query->has_deadline()
                          ? static_cast<double>(query->deadline_key_micros)
                          : std::numeric_limits<double>::infinity();
       break;
     case SchedulingPolicy::kSlackWeighted:
-      if (!query->had_deadline) {
+      if (!query->has_deadline()) {
         item.primary = std::numeric_limits<double>::infinity();
       } else {
         double remaining =
@@ -465,11 +467,11 @@ void OnlineScheduler::WorkerLoop() {
         result.admit_millis = static_cast<double>(q->admit_micros) / 1000.0;
         result.elapsed_millis = epoch_.ElapsedMillis() - result.admit_millis;
         result.steps = q->session->session_stats().steps;
-        result.had_deadline = q->had_deadline;
+        result.had_deadline = q->has_deadline();
         result.gave_up = q->session->GaveUp();
         // A gave-up session (e.g. DP on an oversized query) is Done with
         // an empty frontier; being inside the window is not a hit.
-        result.deadline_hit = q->had_deadline && q->session->Done() &&
+        result.deadline_hit = result.had_deadline && q->session->Done() &&
                               !result.gave_up && !expired;
         if (config_.frontier_cache != nullptr && q->session->Done() &&
             !result.gave_up && !result.frontier.empty()) {
@@ -503,7 +505,7 @@ void OnlineScheduler::WorkerLoop() {
       result.optimize_millis = q->optimize_millis;
       result.admit_millis = static_cast<double>(q->admit_micros) / 1000.0;
       result.elapsed_millis = epoch_.ElapsedMillis() - result.admit_millis;
-      result.had_deadline = q->had_deadline;
+      result.had_deadline = q->has_deadline();
     }
 
     if (snapshot_due) {
@@ -515,17 +517,7 @@ void OnlineScheduler::WorkerLoop() {
       // throwing optimizer would be: it must not take a worker down, so
       // failures are swallowed (the next interval retries).
       try {
-        TaskSnapshot snapshot;
-        snapshot.submission_index = static_cast<size_t>(q->index);
-        snapshot.task = q->task;
-        snapshot.checkpoint = q->session->Checkpoint();
-        snapshot.had_deadline = q->had_deadline;
-        if (q->had_deadline) {
-          snapshot.remaining_micros = q->deadline.RemainingMicros();
-        }
-        snapshot.optimize_millis = q->optimize_millis;
-        snapshot.steps = q->session->session_stats().steps;
-        config_.snapshot_sink(std::move(snapshot));
+        config_.snapshot_sink(static_cast<size_t>(q->index), q->Capture());
       } catch (...) {
         snapshot_due = false;
       }

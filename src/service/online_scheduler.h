@@ -2,10 +2,9 @@
 // already spinning, and a pluggable scheduling policy decides which open
 // session gets the next slice.
 //
-// This generalizes the closed-batch cooperative scheduler
-// (cooperative_scheduler.h, which is now a thin wrapper around this class):
-// instead of one Run(tasks) call over a batch known up front, the service
-// has a lifecycle —
+// Instead of one blocking Run(tasks) call over a batch known up front
+// (BatchOptimizer, the independent reference in batch_optimizer.h), the
+// service has a lifecycle —
 //
 //   OnlineScheduler service(config, factory);
 //   service.Start();                       // spin up the workers
@@ -13,6 +12,10 @@
 //   ticket->get();                         // per-task future
 //   service.Drain();                       // wait for all admitted tasks
 //   BatchReport report = service.Stop();   // join workers, final report
+//
+// A closed batch is the degenerate case: Submit() every task, then Stop()
+// (which starts the workers, runs the backlog dry, and returns the report
+// with task i in slot i).
 //
 // Admission: Submit() may be called from any thread, before or after
 // Start() (pre-Start submissions build a backlog that the workers drain
@@ -24,8 +27,8 @@
 // deadline exactly like in a real service.
 //
 // Scheduling: ready sessions live in a priority queue keyed per
-// SchedulingPolicy. kFifo reproduces the round-robin of the closed-batch
-// scheduler (requeued slices go to the back). kEarliestDeadlineFirst keys
+// SchedulingPolicy. kFifo is round-robin (requeued slices go to the
+// back). kEarliestDeadlineFirst keys
 // by the admission-relative absolute deadline, so a tight-deadline query
 // admitted behind loose ones overtakes them at slice granularity.
 // kSlackWeighted divides the remaining deadline slack by the progress the
@@ -49,6 +52,7 @@
 #include <queue>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -56,6 +60,7 @@
 #include "cost/cost_model.h"
 #include "service/batch_optimizer.h"
 #include "service/frontier_cache.h"
+#include "service/wire.h"
 
 namespace moqo {
 
@@ -79,18 +84,23 @@ enum class AdmissionPolicy {
   kReject,
 };
 
-/// A task drained off a scheduler mid-run by Suspend(): the original
-/// request, the serialized session state (checkpoint), the unexpired
-/// deadline budget, and the promise feeding the future handed out by the
-/// original Submit(). Resume() re-admits it to any scheduler instance
-/// whose optimizer configuration and cost metrics match — the in-process
+/// A task drained off a scheduler mid-run by Suspend(): its task state
+/// (request, session checkpoint, unexpired deadline budget, accounting)
+/// and the promise feeding the future handed out by the original
+/// Submit(). Resume() re-admits it to any scheduler instance whose
+/// optimizer configuration and cost metrics match — the in-process
 /// stand-in for migrating a session between worker processes — and the
 /// original future then delivers the final result. Destroying a
 /// SuspendedTask without resuming it fails that future with a descriptive
 /// std::runtime_error (not a bare broken_promise), exactly like a
 /// migration coordinator reporting a task lost in transit.
 struct SuspendedTask {
-  SuspendedTask() = default;
+  /// Pairs a task state — e.g. one decoded from a wire frame — with the
+  /// reply channel (in-process: the promise carried out of Suspend(); a
+  /// cross-process transport mints a promise whose future it forwards
+  /// back over its own connection).
+  SuspendedTask(WireTask state, std::promise<BatchTaskResult> promise)
+      : state(std::move(state)), promise(std::move(promise)) {}
   SuspendedTask(SuspendedTask&&) noexcept = default;
   /// Abandons any live un-resumed promise this object currently holds
   /// (failing its future descriptively) before adopting `other`'s state.
@@ -102,21 +112,9 @@ struct SuspendedTask {
   /// explicit error at the submitter, not as an opaque broken promise.
   ~SuspendedTask();
 
-  BatchTask task;
-  /// OptimizerSession::Checkpoint() of the mid-run state (RNG stream
-  /// position included); empty if the task never ran a slice, in which
-  /// case Resume() simply begins the session from scratch.
-  std::vector<uint8_t> checkpoint;
-  bool had_deadline = false;
-  /// Unexpired window at suspension time, re-armed by Resume(). Time spent
-  /// suspended is a free pause: the clock restarts on re-admission, just
-  /// as a cross-process migration would re-arm its local timer.
-  int64_t remaining_micros = 0;
-  /// Slice time accumulated on the source scheduler; carried into the
-  /// destination's accounting.
-  double optimize_millis = 0.0;
-  /// Steps executed so far (also inside the checkpoint; exposed for logs).
-  int64_t steps = 0;
+  /// Everything Resume() needs besides the reply channel; exactly what a
+  /// wire frame carries (EncodeWireTask(state)).
+  WireTask state;
   /// Fulfills the future returned by the original Submit().
   std::promise<BatchTaskResult> promise;
   /// Free-form provenance ("shard 3, route key 0x9f…") stamped by whoever
@@ -152,29 +150,6 @@ struct SuspendedTask {
   bool consumed_ = false;
 };
 
-/// One periodic checkpoint of a still-running task, published through
-/// OnlineConfig::snapshot_sink at a slice boundary (where session state is
-/// checkpointable). Carries everything Resume() needs except the promise —
-/// a supervisor holds these as recovery state and, should the scheduler's
-/// process die, replays the task elsewhere from its last snapshot (re-
-/// running only the steps after it; the checkpoint restores bitwise, so
-/// iteration-bounded results are unaffected by the replay).
-struct TaskSnapshot {
-  /// Submission index of the task on its scheduler.
-  size_t submission_index = 0;
-  /// The original request (query, seed, full deadline window).
-  BatchTask task;
-  /// OptimizerSession::Checkpoint() at the slice boundary.
-  std::vector<uint8_t> checkpoint;
-  bool had_deadline = false;
-  /// Unexpired window at snapshot time.
-  int64_t remaining_micros = 0;
-  /// Slice time accumulated so far.
-  double optimize_millis = 0.0;
-  /// Steps executed so far (also inside the checkpoint).
-  int64_t steps = 0;
-};
-
 /// Configuration for one OnlineScheduler instance.
 struct OnlineConfig {
   /// Worker threads serving all open sessions.
@@ -205,11 +180,17 @@ struct OnlineConfig {
   /// serialization time (outside the scheduler lock, off the slice's
   /// optimize_millis accounting).
   int snapshot_every = 0;
-  /// Receives the periodic snapshots. Invoked from worker threads while
-  /// the task keeps running, so the sink must be thread-safe and fast
-  /// (hand the snapshot off, don't process it inline). Ignored when null
-  /// or snapshot_every == 0.
-  std::function<void(TaskSnapshot&&)> snapshot_sink;
+  /// Receives the periodic snapshots: the task's submission index on this
+  /// scheduler and its state at the slice boundary — everything Resume()
+  /// needs except the promise. A supervisor holds these as recovery state
+  /// and, should the scheduler's process die, replays the task elsewhere
+  /// from its last snapshot (re-running only the steps after it; the
+  /// checkpoint restores bitwise, so iteration-bounded results are
+  /// unaffected by the replay). Invoked from worker threads while the task
+  /// keeps running, so the sink must be thread-safe and fast (hand the
+  /// snapshot off, don't process it inline). Ignored when null or
+  /// snapshot_every == 0.
+  std::function<void(size_t submission_index, WireTask&&)> snapshot_sink;
   /// Optional frontier cache consulted by Submit() before admission and
   /// fed by task completion (see service/frontier_cache.h). Shared so
   /// several scheduler generations (e.g. one per shardd connection) and

@@ -148,7 +148,7 @@ void RemoteShard::HandleMessage(MutexLock& lock, Message&& message) {
       --open_;
       if (message.request_id == suspend_request_) {
         suspend_result_ =
-            ToSuspendedTask(std::move(wire), std::move(entry->promise));
+            SuspendedTask(std::move(wire), std::move(entry->promise));
         suspend_result_->origin = label_;
       } else {
         // A suspended task nobody is waiting for (stale rendezvous):
@@ -289,7 +289,7 @@ bool RemoteShard::Resume(SuspendedTask& task) {
     MutexLock lock(mu_);
     if (!started_ || dead_ || stopping_) return false;
   }
-  std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(task));
+  std::vector<uint8_t> frame = EncodeWireTask(task.state);
   // SubmitFrame moves the promise only once the frame is sent, so a
   // refusal leaves `task` fully intact for a retry elsewhere.
   if (!SubmitFrame(std::move(frame), &task.promise)) return false;

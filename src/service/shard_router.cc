@@ -269,8 +269,7 @@ bool ShardRouter::FailShard(size_t shard_id) {
     }
     bool mid_run = !wire.checkpoint.empty();
     int64_t resumed_steps = wire.steps;
-    SuspendedTask rebuilt =
-        ToSuspendedTask(std::move(wire), std::move(orphan.promise));
+    SuspendedTask rebuilt(std::move(wire), std::move(orphan.promise));
     rebuilt.origin = "failover from " + context;
 
     // Preferred destination: the key's post-failure ring owner; fall back
@@ -348,7 +347,7 @@ bool ShardRouter::MigrateLocked(Shard* source, Entry* entry,
   // rebuilt value-for-value, the checkpoint is opaque bytes). The promise
   // is the submitter-side reply channel and stays on this side of the
   // wire.
-  std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(*suspended));
+  std::vector<uint8_t> frame = EncodeWireTask(suspended->state);
   WireTask wire;
   std::string why;
   if (!DecodeWireTask(frame, &wire, &why)) {
@@ -360,8 +359,7 @@ bool ShardRouter::MigrateLocked(Shard* source, Entry* entry,
     return false;
   }
   bool mid_run = !wire.checkpoint.empty();
-  SuspendedTask rebuilt =
-      ToSuspendedTask(std::move(wire), std::move(suspended->promise));
+  SuspendedTask rebuilt(std::move(wire), std::move(suspended->promise));
   rebuilt.origin = "migration from shard " + std::to_string(entry->shard_id) +
                    ", route key " + RouteKeyString(entry->key) +
                    ", fingerprint " + FingerprintString(entry->fingerprint);

@@ -72,8 +72,7 @@ bool ShardServer::HandleSubmit(net::FrameChannel* channel,
   } else {
     std::promise<BatchTaskResult> promise;
     future = promise.get_future();
-    SuspendedTask rebuilt =
-        ToSuspendedTask(std::move(wire), std::move(promise));
+    SuspendedTask rebuilt(std::move(wire), std::move(promise));
     if (!scheduler->Resume(rebuilt)) {
       // The refusal is reported over the wire; silence the abandonment
       // error the rebuilt task's destructor would raise into the future
@@ -111,7 +110,7 @@ bool ShardServer::HandleSuspend(net::FrameChannel* channel,
                        request_id,
                        TextBody("task already finished or not suspendable"));
   }
-  std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(*suspended));
+  std::vector<uint8_t> frame = EncodeWireTask(suspended->state);
   // The promise feeding our server-side future dies with `suspended`; the
   // client re-attaches the original submitter promise to the shipped
   // frame, so this is the transport-moved case, not an abandonment.
@@ -194,12 +193,12 @@ bool ShardServer::Serve(net::FrameChannel* channel) {
   ShardServerConfig config = config_;
   if (config.scheduler.snapshot_every > 0) {
     SnapshotState* state = &snapshots;
-    config.scheduler.snapshot_sink = [state](TaskSnapshot&& snapshot) {
+    config.scheduler.snapshot_sink = [state](size_t index,
+                                             WireTask&& snapshot) {
       // Encode outside the lock; it is the expensive part.
-      std::vector<uint8_t> frame =
-          EncodeWireTask(MakeWireTask(snapshot));
+      std::vector<uint8_t> frame = EncodeWireTask(snapshot);
       MutexLock lock(state->mu);
-      auto it = state->request_ids.find(snapshot.submission_index);
+      auto it = state->request_ids.find(index);
       // A snapshot can race admission bookkeeping or arrive after the
       // result was flushed; dropping it is safe — the previous frame the
       // client holds stays valid recovery state.

@@ -13,7 +13,7 @@
 // "dead" by clock alone.
 //
 // Recovery state: when the scheduler's snapshot cadence is enabled
-// (OnlineConfig::snapshot_every), every periodic TaskSnapshot is encoded
+// (OnlineConfig::snapshot_every), every periodic snapshot is encoded
 // as a kSnapshot message and shipped to the router, which retains the
 // latest frame per task as the state it replays onto surviving shards if
 // this process dies. The sink runs on scheduler worker threads and only

@@ -11,9 +11,10 @@ namespace moqo {
 
 namespace {
 
-/// The scheduler treats deadline_micros <= 0 as "no deadline"; the frame
-/// stores the normal form so the decoder's non-negativity check never
-/// rejects a frame the encoder produced from a healthy task.
+/// The scheduler treats deadline_micros <= 0 as "no deadline" and clamps
+/// longer windows to kMaxDeadlineMicros; the frame stores that normal form
+/// so the decoder's range checks never reject a frame the encoder produced
+/// from a healthy task.
 int64_t NormalizedDeadline(int64_t deadline_micros) {
   if (deadline_micros <= 0) return 0;
   return deadline_micros > kMaxDeadlineMicros ? kMaxDeadlineMicros
@@ -25,38 +26,7 @@ int64_t NormalizedDeadline(int64_t deadline_micros) {
 WireTask MakeWireTask(const BatchTask& task) {
   WireTask wire;
   wire.task = task;
-  wire.task.fingerprint = FingerprintOf(task);
-  wire.task.deadline_micros = NormalizedDeadline(task.deadline_micros);
-  wire.had_deadline = wire.task.deadline_micros > 0;
-  wire.remaining_micros = wire.task.deadline_micros;
-  return wire;
-}
-
-WireTask MakeWireTask(const SuspendedTask& task) {
-  WireTask wire;
-  wire.task = task.task;
-  wire.task.fingerprint = FingerprintOf(task.task);
-  wire.task.deadline_micros = NormalizedDeadline(task.task.deadline_micros);
-  wire.had_deadline = task.had_deadline;
-  wire.remaining_micros = task.remaining_micros;
-  wire.optimize_millis = task.optimize_millis;
-  wire.steps = task.steps;
-  wire.checkpoint = task.checkpoint;
-  return wire;
-}
-
-WireTask MakeWireTask(const TaskSnapshot& snapshot) {
-  WireTask wire;
-  wire.task = snapshot.task;
-  wire.task.fingerprint = FingerprintOf(snapshot.task);
-  wire.task.deadline_micros =
-      NormalizedDeadline(snapshot.task.deadline_micros);
-  wire.had_deadline = snapshot.had_deadline;
-  wire.remaining_micros =
-      snapshot.remaining_micros < 0 ? 0 : snapshot.remaining_micros;
-  wire.optimize_millis = snapshot.optimize_millis;
-  wire.steps = snapshot.steps;
-  wire.checkpoint = snapshot.checkpoint;
+  wire.remaining_micros = NormalizedDeadline(task.deadline_micros);
   return wire;
 }
 
@@ -66,9 +36,8 @@ std::vector<uint8_t> EncodeWireTask(const WireTask& task) {
   writer.WriteU32(kWireVersion);
   WriteQuery(&writer, *task.task.query);
   writer.WriteU64(task.task.seed);
-  writer.WriteU64(task.task.fingerprint);
-  writer.WriteI64(task.task.deadline_micros);
-  writer.WriteU8(task.had_deadline ? 1 : 0);
+  writer.WriteU64(FingerprintOf(task.task));
+  writer.WriteI64(NormalizedDeadline(task.task.deadline_micros));
   writer.WriteI64(task.remaining_micros);
   writer.WriteDouble(task.optimize_millis);
   writer.WriteI64(task.steps);
@@ -127,7 +96,6 @@ bool DecodeWireTask(const std::vector<uint8_t>& frame, WireTask* out,
   wire.task.seed = reader.ReadU64();
   wire.task.fingerprint = reader.ReadU64();
   wire.task.deadline_micros = reader.ReadI64();
-  uint8_t had_deadline = reader.ReadU8();
   wire.remaining_micros = reader.ReadI64();
   wire.optimize_millis = reader.ReadDouble();
   wire.steps = reader.ReadI64();
@@ -140,7 +108,6 @@ bool DecodeWireTask(const std::vector<uint8_t>& frame, WireTask* out,
   if (reader.position() != body_size) {
     return DecodeFail(why, "trailing bytes after payload");
   }
-  if (had_deadline > 1) return DecodeFail(why, "field out of range");
   // The fingerprint rides the frame so the receiving shard's cache keys
   // agree with the router's without re-canonicalizing — but a frame whose
   // stamped fingerprint disagrees with the query it carries would poison
@@ -148,29 +115,17 @@ bool DecodeWireTask(const std::vector<uint8_t>& frame, WireTask* out,
   if (wire.task.fingerprint != QueryFingerprint(*wire.task.query)) {
     return DecodeFail(why, "fingerprint mismatch");
   }
-  wire.had_deadline = had_deadline == 1;
+  // The remainder of a window never exceeds the window itself; for a
+  // deadline-free task (deadline_micros == 0) it is exactly 0.
   if (wire.task.deadline_micros < 0 ||
       wire.task.deadline_micros > kMaxDeadlineMicros ||
       wire.remaining_micros < 0 ||
-      wire.remaining_micros > kMaxDeadlineMicros || wire.steps < 0 ||
+      wire.remaining_micros > wire.task.deadline_micros || wire.steps < 0 ||
       !std::isfinite(wire.optimize_millis) || wire.optimize_millis < 0.0) {
     return DecodeFail(why, "field out of range");
   }
   *out = std::move(wire);
   return true;
-}
-
-SuspendedTask ToSuspendedTask(WireTask&& wire,
-                              std::promise<BatchTaskResult> promise) {
-  SuspendedTask task;
-  task.task = std::move(wire.task);
-  task.checkpoint = std::move(wire.checkpoint);
-  task.had_deadline = wire.had_deadline;
-  task.remaining_micros = wire.remaining_micros;
-  task.optimize_millis = wire.optimize_millis;
-  task.steps = wire.steps;
-  task.promise = std::move(promise);
-  return task;
 }
 
 uint64_t FingerprintOf(const BatchTask& task) {

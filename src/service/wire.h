@@ -28,13 +28,11 @@
 #define MOQO_SERVICE_WIRE_H_
 
 #include <cstdint>
-#include <future>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "service/batch_optimizer.h"
-#include "service/online_scheduler.h"
 
 namespace moqo {
 
@@ -44,22 +42,27 @@ inline constexpr uint32_t kWireMagic = 0x57514f4du;
 /// Bumped whenever the frame layout changes; DecodeWireTask() rejects
 /// other versions. Version 2 added the canonical query fingerprint after
 /// the seed, so per-shard frontier caches reuse the router's
-/// canonicalization instead of recomputing it.
-inline constexpr uint32_t kWireVersion = 2;
+/// canonicalization instead of recomputing it. Version 3 dropped the
+/// had-deadline byte: a task runs under a deadline exactly when its
+/// deadline_micros is positive.
+inline constexpr uint32_t kWireVersion = 3;
 
-/// One optimization task in transportable form: everything a SuspendedTask
-/// carries except the promise, which is the submitter-side reply channel
-/// and never crosses the wire (a transport pairs a decoded frame with its
-/// own reply path; in-process, ToSuspendedTask() re-attaches the original
-/// promise).
+/// The state of one optimization task between two slices: everything a
+/// scheduler needs to run it, or to continue it mid-run. It is the one
+/// value OnlineScheduler::Suspend() fills (inside a SuspendedTask, next to
+/// the reply promise), the periodic snapshot publishes, and a wire frame
+/// carries. The promise is the submitter-side reply channel and never
+/// crosses the wire: a transport pairs a decoded frame with its own reply
+/// path.
 struct WireTask {
   /// The query (rebuilt from the frame on decode) + seed + the task's
-  /// original deadline window.
+  /// original deadline window; the task runs under a deadline iff
+  /// task.deadline_micros > 0.
   BatchTask task;
-  /// True if the task runs under a wall-clock deadline.
-  bool had_deadline = false;
-  /// Unexpired window at suspension time (the full window for a task that
-  /// never ran), re-armed by OnlineScheduler::Resume().
+  /// Unexpired window at suspension or snapshot time (the full window for
+  /// a task that never ran; 0 for a deadline-free task), re-armed by
+  /// OnlineScheduler::Resume(). Time spent suspended is a free pause: the
+  /// clock restarts on re-admission.
   int64_t remaining_micros = 0;
   /// Slice time accumulated before the hop, carried into the destination's
   /// accounting.
@@ -67,32 +70,30 @@ struct WireTask {
   /// Steps executed before the hop (also inside the checkpoint; exposed
   /// for logs).
   int64_t steps = 0;
-  /// OptimizerSession::Checkpoint() of the mid-run state; empty if the
-  /// task never ran a slice, in which case the destination begins the
-  /// session from scratch with the task's own seed.
+  /// OptimizerSession::Checkpoint() of the mid-run state (RNG stream
+  /// position included); empty if the task never ran a slice, in which
+  /// case the destination begins the session from scratch with the task's
+  /// own seed.
   std::vector<uint8_t> checkpoint;
 };
 
-/// Wraps a fresh, not-yet-admitted task (full deadline window remaining,
-/// no checkpoint).
+/// Wraps a fresh, not-yet-admitted task: the full deadline window
+/// remaining, no checkpoint.
 WireTask MakeWireTask(const BatchTask& task);
 
-/// Wraps a task drained off a scheduler by Suspend(). Copies everything
-/// except the promise, which stays with the caller.
-WireTask MakeWireTask(const SuspendedTask& task);
-
-/// Wraps a periodic checkpoint snapshot of a still-running task (the
-/// recovery state a supervisor replays after a shard death).
-WireTask MakeWireTask(const TaskSnapshot& snapshot);
-
 /// Serializes `task` into a framed byte string:
-/// magic, version, query, seed, deadline, remainder, accounting,
-/// checkpoint bytes, CRC32 trailer over everything before it.
+/// magic, version, query, seed, fingerprint, deadline, remainder,
+/// accounting, checkpoint bytes, CRC32 trailer over everything before it.
+/// The frame carries the task's normal form: the fingerprint is stamped
+/// (FingerprintOf) and the deadline window clamped to
+/// [0, kMaxDeadlineMicros], so every task a scheduler accepts encodes to a
+/// frame DecodeWireTask() accepts.
 std::vector<uint8_t> EncodeWireTask(const WireTask& task);
 
 /// Mirrors EncodeWireTask. Returns false — leaving `out` untouched — on
 /// any malformation: short frame, CRC mismatch, wrong magic or version,
-/// invalid query records, out-of-range fields, a payload that reads past
+/// invalid query records, out-of-range fields (including a remainder
+/// outside [0, task.deadline_micros]), a payload that reads past
 /// the frame, or trailing bytes after the payload (the frame must be
 /// consumed exactly). The embedded session checkpoint is opaque here; it
 /// is validated against the rebuilt query by OptimizerSession::Restore()
@@ -105,13 +106,6 @@ bool DecodeWireTask(const std::vector<uint8_t>& frame, WireTask* out);
 /// `why` is untouched on success and may be null.
 bool DecodeWireTask(const std::vector<uint8_t>& frame, WireTask* out,
                     std::string* why);
-
-/// Rebuilds a scheduler-resumable task from a decoded frame plus the
-/// reply channel (in-process: the promise carried out of Suspend(); a
-/// cross-process transport would mint a promise whose future it forwards
-/// back over its own connection).
-SuspendedTask ToSuspendedTask(WireTask&& wire,
-                              std::promise<BatchTaskResult> promise);
 
 /// The task's canonical query fingerprint: returns the stamped
 /// BatchTask::fingerprint when present, computing QueryFingerprint(query)

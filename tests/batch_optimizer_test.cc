@@ -8,7 +8,6 @@
 
 #include "baselines/dp.h"
 #include "core/rmq.h"
-#include "service/cooperative_scheduler.h"
 #include "service/thread_pool.h"
 
 namespace moqo {
@@ -253,76 +252,6 @@ TEST(BatchReportTest, SummaryReportsPercentilesAndTotals) {
   EXPECT_NE(summary.find("4 tasks on 2 thread(s)"), std::string::npos);
   EXPECT_NE(summary.find("p50 2"), std::string::npos);
   EXPECT_NE(summary.find("p95 4"), std::string::npos);
-}
-
-// The cooperative scheduler must produce frontiers bitwise identical to a
-// blocking single-thread run of the same iteration-bounded tasks — the
-// end-to-end determinism contract spanning sessions and multiplexing.
-TEST(CooperativeSchedulerTest, MatchesBlockingBatchReference) {
-  std::vector<BatchTask> tasks = SmallBatch(8, 6);
-
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(25)).Run(tasks);
-
-  CooperativeConfig coop;
-  coop.num_threads = 4;
-  coop.steps_per_slice = 3;
-  BatchReport multiplexed =
-      CooperativeScheduler(coop, RmqFactory(25)).Run(tasks);
-
-  ASSERT_EQ(multiplexed.tasks.size(), tasks.size());
-  BatchComparison cmp = CompareToReference(reference, multiplexed);
-  EXPECT_TRUE(cmp.identical);
-  EXPECT_DOUBLE_EQ(cmp.max_alpha, 1.0);
-  for (const BatchTaskResult& task : multiplexed.tasks) {
-    EXPECT_FALSE(task.frontier.empty());
-    EXPECT_EQ(task.steps, 25);
-    EXPECT_GE(task.elapsed_millis, task.optimize_millis);
-  }
-}
-
-TEST(CooperativeSchedulerTest, DeterministicAcrossThreadsAndSliceSizes) {
-  std::vector<BatchTask> tasks = SmallBatch(6, 6);
-
-  CooperativeConfig narrow;
-  narrow.num_threads = 1;
-  narrow.steps_per_slice = 1;
-  BatchReport a = CooperativeScheduler(narrow, RmqFactory(15)).Run(tasks);
-
-  CooperativeConfig wide;
-  wide.num_threads = 8;
-  wide.steps_per_slice = 4;
-  BatchReport b = CooperativeScheduler(wide, RmqFactory(15)).Run(tasks);
-
-  BatchComparison cmp = CompareToReference(a, b);
-  EXPECT_TRUE(cmp.identical);
-}
-
-TEST(CooperativeSchedulerTest, EmptyBatchReturnsEmptyReport) {
-  CooperativeConfig config;
-  config.num_threads = 4;
-  BatchReport report = CooperativeScheduler(config, RmqFactory(5)).Run({});
-  EXPECT_TRUE(report.tasks.empty());
-  EXPECT_EQ(report.total_frontier, 0u);
-}
-
-// A deadline-bounded task with an unbounded optimizer must be finalized
-// once its wall-clock window (started at admission) expires.
-TEST(CooperativeSchedulerTest, HonorsTaskDeadlines) {
-  constexpr int64_t kDeadlineMicros = 100 * 1000;
-  std::vector<BatchTask> tasks = SmallBatch(4, 18, kDeadlineMicros);
-  CooperativeConfig config;
-  config.num_threads = 2;
-  CooperativeScheduler scheduler(config, RmqFactory(/*max_iterations=*/0));
-  Stopwatch watch;
-  BatchReport report = scheduler.Run(tasks);
-  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
-  ASSERT_EQ(report.tasks.size(), 4u);
-  for (const BatchTaskResult& task : report.tasks) {
-    EXPECT_TRUE(task.had_deadline);
-    EXPECT_GT(task.elapsed_millis, 0.0);
-  }
 }
 
 TEST(CanonicalFrontierTest, SortsLexicographically) {

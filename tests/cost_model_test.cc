@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "cost/operators.h"
 
@@ -164,6 +166,26 @@ TEST(CostModelTest, EnergyMetricSupported) {
   CostVector c = m.ScanCost(t, ScanAlgorithm::kFullScan);
   EXPECT_GT(c[1], 0.0);
   EXPECT_NE(c[0], c[1]);  // energy is not simply time
+}
+
+// The metric count is a public input checked in Release builds too: the
+// Metric enum offers five metrics but a cost vector holds at most
+// kMaxMetrics lanes, and an oversized model used to write past them.
+TEST(CostModelTest, RejectsEmptyOrTooManyMetrics) {
+  EXPECT_THROW(CostModel({}), std::invalid_argument);
+  const std::vector<Metric> all_five = {Metric::kTime, Metric::kBuffer,
+                                        Metric::kDisk, Metric::kEnergy,
+                                        Metric::kMoney};
+  ASSERT_GT(static_cast<int>(all_five.size()), CostVector::kMaxMetrics);
+  EXPECT_THROW(CostModel{all_five}, std::invalid_argument);
+
+  const std::vector<Metric> widest(all_five.begin(),
+                                   all_five.begin() + CostVector::kMaxMetrics);
+  CostModel m(widest);
+  EXPECT_EQ(m.NumMetrics(), CostVector::kMaxMetrics);
+  TableStats t{10000.0, 100.0, false};
+  EXPECT_EQ(m.ScanCost(t, ScanAlgorithm::kFullScan).size(),
+            CostVector::kMaxMetrics);
 }
 
 TEST(CostModelTest, CombineIsComponentwiseSum) {

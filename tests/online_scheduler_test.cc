@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -37,6 +38,89 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
   GeneratorConfig generator;
   generator.num_tables = tables;
   return GenerateBatch(n, generator, master_seed, deadline_micros);
+}
+
+/// Drives the scheduler as a closed batch: every task is admitted before
+/// the workers start (arming each deadline at its Submit), then Stop()
+/// runs the backlog dry and reports task i in slot i.
+BatchReport RunClosedBatch(const OnlineConfig& config,
+                           const OptimizerFactory& make_optimizer,
+                           const std::vector<BatchTask>& tasks) {
+  OnlineScheduler service(config, make_optimizer);
+  for (const BatchTask& task : tasks) {
+    EXPECT_TRUE(service.Submit(task).has_value());
+  }
+  return service.Stop();
+}
+
+// A closed batch interleaved over a pool must produce frontiers bitwise
+// identical to a blocking single-thread run of the same iteration-bounded
+// tasks — the end-to-end determinism contract spanning sessions and
+// multiplexing.
+TEST(OnlineSchedulerTest, ClosedBatchMatchesBlockingReference) {
+  std::vector<BatchTask> tasks = SmallBatch(8, 6);
+
+  BatchConfig single;
+  single.num_threads = 1;
+  BatchReport reference = BatchOptimizer(single, RmqFactory(25)).Run(tasks);
+
+  OnlineConfig config;
+  config.num_threads = 4;
+  config.steps_per_slice = 3;
+  BatchReport multiplexed = RunClosedBatch(config, RmqFactory(25), tasks);
+
+  ASSERT_EQ(multiplexed.tasks.size(), tasks.size());
+  BatchComparison cmp = CompareToReference(reference, multiplexed);
+  EXPECT_TRUE(cmp.identical);
+  EXPECT_DOUBLE_EQ(cmp.max_alpha, 1.0);
+  for (const BatchTaskResult& task : multiplexed.tasks) {
+    EXPECT_FALSE(task.frontier.empty());
+    EXPECT_EQ(task.steps, 25);
+    EXPECT_GE(task.elapsed_millis, task.optimize_millis);
+  }
+}
+
+TEST(OnlineSchedulerTest, ClosedBatchDeterministicAcrossThreadsAndSlices) {
+  std::vector<BatchTask> tasks = SmallBatch(6, 6);
+
+  OnlineConfig narrow;
+  narrow.num_threads = 1;
+  narrow.steps_per_slice = 1;
+  BatchReport a = RunClosedBatch(narrow, RmqFactory(15), tasks);
+
+  OnlineConfig wide;
+  wide.num_threads = 8;
+  wide.steps_per_slice = 4;
+  BatchReport b = RunClosedBatch(wide, RmqFactory(15), tasks);
+
+  BatchComparison cmp = CompareToReference(a, b);
+  EXPECT_TRUE(cmp.identical);
+}
+
+TEST(OnlineSchedulerTest, EmptyClosedBatchReturnsEmptyReport) {
+  OnlineConfig config;
+  config.num_threads = 4;
+  BatchReport report = RunClosedBatch(config, RmqFactory(5), {});
+  EXPECT_TRUE(report.tasks.empty());
+  EXPECT_EQ(report.total_frontier, 0u);
+}
+
+// A deadline-bounded task with an unbounded optimizer must be finalized
+// once its wall-clock window (started at admission) expires.
+TEST(OnlineSchedulerTest, ClosedBatchHonorsTaskDeadlines) {
+  constexpr int64_t kDeadlineMicros = 100 * 1000;
+  std::vector<BatchTask> tasks = SmallBatch(4, 18, kDeadlineMicros);
+  OnlineConfig config;
+  config.num_threads = 2;
+  Stopwatch watch;
+  BatchReport report =
+      RunClosedBatch(config, RmqFactory(/*max_iterations=*/0), tasks);
+  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+  ASSERT_EQ(report.tasks.size(), 4u);
+  for (const BatchTaskResult& task : report.tasks) {
+    EXPECT_TRUE(task.had_deadline);
+    EXPECT_GT(task.elapsed_millis, 0.0);
+  }
 }
 
 
@@ -399,8 +483,8 @@ TEST(OnlineSchedulerTest, SuspendFromBacklogAndResumeIntoSameScheduler) {
   // Workers are not running: the suspension must find the task queued.
   auto suspended = service.Suspend(0);
   ASSERT_TRUE(suspended.has_value());
-  EXPECT_TRUE(suspended->checkpoint.empty());
-  EXPECT_EQ(suspended->steps, 0);
+  EXPECT_TRUE(suspended->state.checkpoint.empty());
+  EXPECT_EQ(suspended->state.steps, 0);
   EXPECT_EQ(service.open_count(), 1u);
   // Double-suspension is refused.
   EXPECT_FALSE(service.Suspend(0).has_value());
@@ -668,14 +752,14 @@ TEST(OnlineSchedulerTest, PeriodicSnapshotsAreObservableAndHarmless) {
   BatchReport reference = BatchOptimizer(single, RmqFactory(30)).Run(tasks);
 
   std::mutex mu;
-  std::vector<TaskSnapshot> collected;
+  std::vector<std::pair<size_t, WireTask>> collected;
   OnlineConfig config;
   config.num_threads = 2;
   config.steps_per_slice = 2;  // many slice boundaries per task
   config.snapshot_every = 2;
-  config.snapshot_sink = [&](TaskSnapshot&& snapshot) {
+  config.snapshot_sink = [&](size_t index, WireTask&& snapshot) {
     std::lock_guard<std::mutex> lock(mu);
-    collected.push_back(std::move(snapshot));
+    collected.emplace_back(index, std::move(snapshot));
   };
   OnlineScheduler service(config, RmqFactory(30));
   service.Start();
@@ -696,8 +780,8 @@ TEST(OnlineSchedulerTest, PeriodicSnapshotsAreObservableAndHarmless) {
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_GT(collected.size(), 0u);
   EXPECT_EQ(service.snapshot_count(), collected.size());
-  for (const TaskSnapshot& snapshot : collected) {
-    EXPECT_LT(snapshot.submission_index, tasks.size());
+  for (const auto& [index, snapshot] : collected) {
+    EXPECT_LT(index, tasks.size());
     EXPECT_FALSE(snapshot.checkpoint.empty());
     EXPECT_GT(snapshot.steps, 0);
     EXPECT_LT(snapshot.steps, 30);  // mid-run, never a finished task
@@ -714,7 +798,7 @@ TEST(OnlineSchedulerTest, SnapshotsAreOffByDefault) {
   std::atomic<size_t> fired{0};
   OnlineConfig config;
   config.num_threads = 2;
-  config.snapshot_sink = [&](TaskSnapshot&&) { ++fired; };
+  config.snapshot_sink = [&](size_t, WireTask&&) { ++fired; };
   OnlineScheduler service(config, RmqFactory(12));
   service.Start();
   std::vector<BatchTask> tasks = SmallBatch(3, 5);
@@ -854,6 +938,156 @@ TEST(OnlineSchedulerTest, CacheOffLeavesRepeatsCold) {
     EXPECT_EQ(result.steps, 12);
   }
 }
+
+// Every producer of task state, round-tripped the way a migration or a
+// failover replay moves it: encode -> decode -> Resume() on a second
+// scheduler. The original (or, for state that carries no promise, a fresh)
+// future must deliver a frontier bitwise equal to the blocking reference.
+enum class StateProducer {
+  kFreshTask,      // MakeWireTask of a never-admitted task
+  kSuspendQueued,  // Suspend() of a task that never ran a slice
+  kSuspendMidRun,  // Suspend() of a begun task waiting for its next slice
+  kSnapshot,       // the first periodic snapshot of a running task
+};
+
+std::string StateProducerName(
+    const testing::TestParamInfo<StateProducer>& info) {
+  switch (info.param) {
+    case StateProducer::kFreshTask:
+      return "FreshTask";
+    case StateProducer::kSuspendQueued:
+      return "SuspendQueued";
+    case StateProducer::kSuspendMidRun:
+      return "SuspendMidRun";
+    case StateProducer::kSnapshot:
+      return "Snapshot";
+  }
+  return "Unknown";
+}
+
+class TaskStateRoundTripTest : public testing::TestWithParam<StateProducer> {};
+
+TEST_P(TaskStateRoundTripTest, EncodeDecodeResumeMatchesBlockingReference) {
+  constexpr int kIterations = 24;
+  // A window far beyond the iteration budget: the remainder travels in
+  // the frame, but no step is ever cut short, so the frontier stays
+  // deterministic.
+  constexpr int64_t kDeadlineMicros = 60 * 1000 * 1000;
+  std::vector<BatchTask> tasks = SmallBatch(2, 6, kDeadlineMicros);
+  BatchConfig single;
+  single.num_threads = 1;
+  BatchReport reference =
+      BatchOptimizer(single, RmqFactory(kIterations)).Run(tasks);
+
+  // The source runs task 0 (under test) and a companion task 1 on one
+  // FIFO worker, one step per slice, snapshotting after every slice. The
+  // worker therefore runs task 0's first slice and publishes its snapshot
+  // before it blocks in the companion's first snapshot — and while it is
+  // blocked there, task 0 is begun and waiting in the ready queue.
+  std::mutex mu;
+  std::optional<WireTask> first_snapshot;
+  std::promise<void> companion_blocked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  bool companion_seen = false;  // touched only by the single worker
+  OnlineConfig source_config;
+  source_config.num_threads = 1;
+  source_config.snapshot_every = 1;
+  source_config.snapshot_sink = [&](size_t index, WireTask&& snapshot) {
+    if (index == 0) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!first_snapshot.has_value()) first_snapshot = std::move(snapshot);
+    } else if (!companion_seen) {
+      companion_seen = true;
+      companion_blocked.set_value();
+      released.wait();
+    }
+  };
+  OnlineScheduler source(source_config, RmqFactory(kIterations));
+  auto ticket = source.Submit(tasks[0]);
+  ASSERT_TRUE(ticket.has_value());
+  ASSERT_TRUE(source.Submit(tasks[1]).has_value());
+
+  WireTask state;
+  std::promise<BatchTaskResult> promise;
+  std::future<BatchTaskResult> future;
+  auto take_suspended = [&](std::optional<SuspendedTask> suspended) {
+    ASSERT_TRUE(suspended.has_value());
+    state = std::move(suspended->state);
+    promise = std::move(suspended->promise);
+    suspended->MarkConsumed();
+    future = std::move(*ticket);
+  };
+  switch (GetParam()) {
+    case StateProducer::kFreshTask:
+      state = MakeWireTask(tasks[0]);
+      future = promise.get_future();
+      release.set_value();
+      source.Start();
+      break;
+    case StateProducer::kSuspendQueued:
+      release.set_value();
+      take_suspended(source.Suspend(0));
+      source.Start();
+      break;
+    case StateProducer::kSuspendMidRun: {
+      source.Start();
+      companion_blocked.get_future().wait();
+      std::optional<SuspendedTask> suspended = source.Suspend(0);
+      release.set_value();  // before any ASSERT can leave the worker blocked
+      take_suspended(std::move(suspended));
+      break;
+    }
+    case StateProducer::kSnapshot:
+      source.Start();
+      companion_blocked.get_future().wait();
+      release.set_value();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ASSERT_TRUE(first_snapshot.has_value());
+        state = *first_snapshot;
+      }
+      future = promise.get_future();
+      break;
+  }
+  ASSERT_FALSE(HasFatalFailure());
+  source.Stop();
+
+  const bool mid_run = GetParam() == StateProducer::kSuspendMidRun ||
+                       GetParam() == StateProducer::kSnapshot;
+  EXPECT_EQ(state.checkpoint.empty(), !mid_run);
+  EXPECT_EQ(state.steps, mid_run ? 1 : 0);
+
+  WireTask decoded;
+  std::string why;
+  ASSERT_TRUE(DecodeWireTask(EncodeWireTask(state), &decoded, &why)) << why;
+  EXPECT_EQ(decoded.task.deadline_micros, kDeadlineMicros);
+  EXPECT_GT(decoded.remaining_micros, 0);
+  EXPECT_LE(decoded.remaining_micros, kDeadlineMicros);
+  EXPECT_EQ(decoded.steps, state.steps);
+  EXPECT_EQ(decoded.checkpoint, state.checkpoint);
+
+  OnlineConfig destination_config;
+  destination_config.num_threads = 2;
+  destination_config.steps_per_slice = 3;
+  OnlineScheduler destination(destination_config, RmqFactory(kIterations));
+  destination.Start();
+  SuspendedTask resumed(std::move(decoded), std::move(promise));
+  ASSERT_TRUE(destination.Resume(resumed));
+  destination.Drain();
+  BatchTaskResult result = future.get();
+  EXPECT_EQ(result.steps, kIterations);
+  EXPECT_TRUE(BitwiseEqual(result.frontier, reference.tasks[0].frontier))
+      << "task state diverged after the round trip";
+  destination.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProducers, TaskStateRoundTripTest,
+                         testing::Values(StateProducer::kFreshTask,
+                                         StateProducer::kSuspendQueued,
+                                         StateProducer::kSuspendMidRun,
+                                         StateProducer::kSnapshot),
+                         StateProducerName);
 
 }  // namespace
 }  // namespace moqo

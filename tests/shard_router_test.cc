@@ -279,11 +279,10 @@ TEST(ShardRouterTest, ManualWireHopDeliversThroughOriginalFuture) {
   auto suspended = source.Suspend(0);
   ASSERT_TRUE(suspended.has_value());
 
-  std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(*suspended));
+  std::vector<uint8_t> frame = EncodeWireTask(suspended->state);
   WireTask wire;
   ASSERT_TRUE(DecodeWireTask(frame, &wire));
-  SuspendedTask rebuilt =
-      ToSuspendedTask(std::move(wire), std::move(suspended->promise));
+  SuspendedTask rebuilt(std::move(wire), std::move(suspended->promise));
   suspended->MarkConsumed();  // promise handed to the rebuilt task
 
   ASSERT_TRUE(destination.Resume(rebuilt));

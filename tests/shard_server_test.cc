@@ -431,8 +431,7 @@ TEST(ShardServerTest, AbandonedOrphanErrorNamesShardAndRouteKey) {
     WireTask wire;
     std::string why;
     ASSERT_TRUE(DecodeWireTask(orphans[0].frame, &wire, &why)) << why;
-    SuspendedTask rebuilt =
-        ToSuspendedTask(std::move(wire), std::move(orphans[0].promise));
+    SuspendedTask rebuilt(std::move(wire), std::move(orphans[0].promise));
     rebuilt.origin = "failover from shard 9, route key " +
                      RouteKeyString(0xabcdefull) + ", fingerprint " +
                      FingerprintString(0x123456ull);

@@ -46,6 +46,27 @@ void RepairCrc(std::vector<uint8_t>* frame) {
   }
 }
 
+/// Byte offset, from the end of a frame with an empty checkpoint, of the
+/// fixed-width fields behind the query record: deadline, remainder,
+/// optimize_millis, steps, then the checkpoint's 8-byte length prefix and
+/// the 4-byte CRC trailer.
+constexpr size_t kDeadlineFromEnd = 4 + 8 + 8 + 8 + 8 + 8;
+constexpr size_t kRemainderFromEnd = 4 + 8 + 8 + 8 + 8;
+
+/// Overwrites the little-endian i64 field `from_end` bytes before the end
+/// of `frame` and re-stamps the CRC — a foreign encoder's frame that only
+/// the field validation can reject.
+void PatchI64AndRepairCrc(std::vector<uint8_t>* frame, size_t from_end,
+                          int64_t value) {
+  ASSERT_GE(frame->size(), from_end);
+  const size_t at = frame->size() - from_end;
+  for (int i = 0; i < 8; ++i) {
+    (*frame)[at + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i));
+  }
+  RepairCrc(frame);
+}
+
 /// Truncates `frame` to `body_bytes` of body and appends a freshly
 /// computed (valid) CRC trailer.
 std::vector<uint8_t> TruncateWithValidCrc(const std::vector<uint8_t>& frame,
@@ -172,7 +193,6 @@ TEST(WireTaskTest, FreshTaskRoundTrip) {
   EXPECT_TRUE(*decoded.task.query == *task.query);
   EXPECT_EQ(decoded.task.seed, task.seed);
   EXPECT_EQ(decoded.task.deadline_micros, task.deadline_micros);
-  EXPECT_TRUE(decoded.had_deadline);
   EXPECT_EQ(decoded.remaining_micros, task.deadline_micros);
   EXPECT_EQ(decoded.steps, 0);
   EXPECT_TRUE(decoded.checkpoint.empty());
@@ -333,17 +353,52 @@ TEST(WireTaskTest, DeadlineIsNormalizedNotRejected) {
   WireTask decoded;
   ASSERT_TRUE(DecodeWireTask(frame, &decoded));
   EXPECT_EQ(decoded.task.deadline_micros, 0);
-  EXPECT_FALSE(decoded.had_deadline);
+  EXPECT_EQ(decoded.remaining_micros, 0);
 
   BatchTask huge = MakeTask(5, /*seed=*/2, INT64_MAX);
   ASSERT_TRUE(DecodeWireTask(EncodeWireTask(MakeWireTask(huge)), &decoded));
   EXPECT_EQ(decoded.task.deadline_micros, kMaxDeadlineMicros);
+  EXPECT_EQ(decoded.remaining_micros, kMaxDeadlineMicros);
 
   // A foreign encoder shipping an un-clamped window is rejected: the
   // decoder bounds every field, not just the ones our encoder normalizes.
-  WireTask raw = MakeWireTask(huge);
-  raw.task.deadline_micros = INT64_MAX;
-  EXPECT_FALSE(DecodeWireTask(EncodeWireTask(raw), &decoded));
+  std::vector<uint8_t> raw = EncodeWireTask(MakeWireTask(huge));
+  PatchI64AndRepairCrc(&raw, kDeadlineFromEnd, INT64_MAX);
+  std::string why;
+  EXPECT_FALSE(DecodeWireTask(raw, &decoded, &why));
+  EXPECT_EQ(why, "field out of range");
+}
+
+// The remainder of a deadline window never exceeds the window: an honest
+// producer stores 0 <= remaining_micros <= deadline_micros, which for a
+// deadline-free task means exactly 0. A frame breaking the rule (CRC
+// repaired, so only the field check can catch it) is rejected.
+TEST(WireTaskTest, RejectsRemainderOutsideTheWindow) {
+  const BatchTask timed = MakeTask(5, /*seed=*/4, /*deadline_micros=*/800);
+  const BatchTask untimed = MakeTask(5, /*seed=*/4);
+  auto frame_with = [](const BatchTask& task, int64_t remaining) {
+    std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(task));
+    PatchI64AndRepairCrc(&frame, kRemainderFromEnd, remaining);
+    return frame;
+  };
+  WireTask decoded;
+  std::string why;
+  for (int64_t remaining : {int64_t{0}, int64_t{800}}) {
+    EXPECT_TRUE(DecodeWireTask(frame_with(timed, remaining), &decoded, &why))
+        << "remaining " << remaining << ": " << why;
+  }
+  EXPECT_TRUE(DecodeWireTask(frame_with(untimed, 0), &decoded, &why)) << why;
+
+  for (int64_t remaining : {int64_t{801}, int64_t{-1}}) {
+    EXPECT_FALSE(DecodeWireTask(frame_with(timed, remaining), &decoded, &why))
+        << "accepted remaining " << remaining << " for an 800 us window";
+    EXPECT_EQ(why, "field out of range");
+  }
+  for (int64_t remaining : {int64_t{1}, int64_t{-1}, kMaxDeadlineMicros}) {
+    EXPECT_FALSE(DecodeWireTask(frame_with(untimed, remaining), &decoded, &why))
+        << "accepted remaining " << remaining << " without a deadline";
+    EXPECT_EQ(why, "field out of range");
+  }
 }
 
 // The 3-argument decode names the failure, so a rejection surfaced over
@@ -522,20 +577,22 @@ TEST(WireTaskTest, TaskResultCarriesServedFromCache) {
   EXPECT_TRUE(decoded.served_from_cache);
 }
 
-// The canonical fingerprint is stamped once at the sender and verified at
-// the receiver, so per-shard caches key identically without recomputing
-// canonicalization on the hot path.
+// The canonical fingerprint is stamped once by the sender's encoder and
+// verified at the receiver, so per-shard caches key identically without
+// recomputing canonicalization on the hot path. A fingerprint the sender
+// already stamped is carried as is.
 TEST(WireTaskTest, FingerprintIsStampedAndSurvivesTheWire) {
   BatchTask task = MakeTask(7, /*seed=*/5);
-  WireTask wire = MakeWireTask(task);
-  EXPECT_EQ(wire.task.fingerprint, QueryFingerprint(*task.query));
-  EXPECT_NE(wire.task.fingerprint, 0u);
-
-  std::vector<uint8_t> frame = EncodeWireTask(wire);
-  WireTask decoded;
-  ASSERT_TRUE(DecodeWireTask(frame, &decoded));
-  EXPECT_EQ(decoded.task.fingerprint, wire.task.fingerprint);
-  EXPECT_EQ(FingerprintOf(decoded.task), wire.task.fingerprint);
+  const uint64_t fingerprint = QueryFingerprint(*task.query);
+  EXPECT_NE(fingerprint, 0u);
+  for (uint64_t stamped : {uint64_t{0}, fingerprint}) {
+    task.fingerprint = stamped;
+    std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(task));
+    WireTask decoded;
+    ASSERT_TRUE(DecodeWireTask(frame, &decoded));
+    EXPECT_EQ(decoded.task.fingerprint, fingerprint);
+    EXPECT_EQ(FingerprintOf(decoded.task), fingerprint);
+  }
 }
 
 // A frame whose stamped fingerprint disagrees with the query it carries is
