@@ -7,7 +7,8 @@
 //
 //   * every static-router frontier == the unsharded reference frontier;
 //   * every elastic-router frontier == the reference, with >= 1 rebalance
-//     migration actually performed;
+//     migration actually performed (guaranteed to be possible: see the
+//     elastic run below);
 //   * a mid-run checkpointed task, encoded to the wire and decoded on a
 //     "different shard" (a fresh factory built only from the decoded
 //     frame), finishes bitwise identical to its uninterrupted run.
@@ -21,11 +22,13 @@
 //         [--iterations=20] [--threads=2] [--shards=4]
 //         [--virtual-nodes=64] [--grow-at=16] [--shrink-at=48]
 //         [--pace-us=2000] [--seed=2016] [--json=out.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +59,24 @@ double QueriesPerSec(size_t queries, double wall_ms) {
   return wall_ms <= 0.0 ? 0.0
                         : static_cast<double>(queries) * 1000.0 / wall_ms;
 }
+
+// A one-shot gate: Wait() blocks until Open(). Open() is idempotent.
+class Latch {
+ public:
+  Latch() : opened_(promise_.get_future().share()) {}
+  void Open() {
+    if (!open_) {
+      open_ = true;
+      promise_.set_value();
+    }
+  }
+  void Wait() const { opened_.wait(); }
+
+ private:
+  std::promise<void> promise_;
+  std::shared_future<void> opened_;
+  bool open_ = false;  // touched only by the thread that opens
+};
 
 }  // namespace
 
@@ -145,31 +166,103 @@ int main(int argc, char** argv) {
 
   // Elastic run: grow by one shard mid-stream, shrink again later. Both
   // membership changes rebalance in-flight tasks through the wire.
+  //
+  // The growth must find a task whose ring owner changes still unfinished,
+  // or the migration gate measures a race against the workers. That is
+  // arranged by construction. Routers derive identical rings for the same
+  // shard ids, so routers built with `shards` and `shards + 1` members
+  // name each task's owner before and after AddShard. `threads` holder
+  // tasks per shard (extra tasks, owned by that shard before and after)
+  // are submitted first. Under FIFO every worker's first slice is a
+  // holder's, after which it blocks in the snapshot sink until AddShard
+  // has returned. Every task submitted before the growth is therefore
+  // still queued during the rebalance, and each one whose owner changes
+  // is migrated. The growth waits, if need be, until such a task has been
+  // submitted. The holders' own results are not compared.
   RunOutcome elastic_run;
+  size_t growth_movers = 0;
   {
     ShardRouterConfig config;
     config.num_shards = shards;
     config.virtual_nodes = virtual_nodes;
     config.shard.num_threads = threads;
     config.shard.steps_per_slice = 1;
+    ShardRouterConfig grown_config = config;
+    grown_config.num_shards = shards + 1;
+    const ShardRouter before(config, make_rmq);
+    const ShardRouter after(grown_config, make_rmq);
+    auto moves = [&](const BatchTask& task) {
+      return before.ShardFor(task) != after.ShardFor(task);
+    };
+
+    size_t grow_point = grow_at;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      if (!moves(tasks[i])) continue;
+      grow_point = std::max(grow_point, i + 1);
+      break;
+    }
+    for (size_t i = 0; i < grow_point && i < tasks.size(); ++i) {
+      if (moves(tasks[i])) ++growth_movers;
+    }
+
+    std::vector<BatchTask> holders;
+    std::set<uint64_t> holder_seeds;
+    {
+      std::vector<size_t> per_shard(static_cast<size_t>(shards), 0);
+      const std::vector<BatchTask> pool =
+          GenerateBatch(64 * shards * threads, generator, ~seed, 0);
+      for (const BatchTask& task : pool) {
+        const size_t owner = before.ShardFor(task);
+        if (moves(task) || per_shard[owner] == static_cast<size_t>(threads)) {
+          continue;
+        }
+        ++per_shard[owner];
+        holders.push_back(task);
+        holder_seeds.insert(task.seed);
+      }
+      if (holders.size() != static_cast<size_t>(shards * threads)) {
+        std::printf("FAIL: found %zu of %d holder tasks\n", holders.size(),
+                    shards * threads);
+        return 1;
+      }
+    }
+
+    Latch grown;
+    config.shard.snapshot_every = 1;
+    config.shard.snapshot_sink = [&holder_seeds, &grown](size_t,
+                                                         WireTask&& state) {
+      if (holder_seeds.count(state.task.seed) != 0) grown.Wait();
+    };
     ShardRouter router(config, make_rmq);
     router.Start();
+    for (const BatchTask& holder : holders) {
+      if (!router.Submit(holder).has_value()) {
+        grown.Open();
+        std::printf("FAIL: elastic router rejected a holder task\n");
+        return 1;
+      }
+    }
     size_t added = 0;
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (!router.Submit(tasks[i]).has_value()) {
+        grown.Open();
         std::printf("FAIL: elastic router rejected a task\n");
         return 1;
       }
       // Open-loop pacing so the workers genuinely get mid-run before the
-      // membership changes — otherwise every migrated task would still be
-      // queued (empty checkpoint) and the rebalance would never exercise
-      // the checkpoint-over-the-wire path.
+      // shrink — otherwise every task it migrates would still be queued
+      // (empty checkpoint) and it would never exercise the
+      // checkpoint-over-the-wire path.
       if (pace_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
       }
-      if (i + 1 == grow_at) added = router.AddShard();
+      if (i + 1 == grow_point) {
+        added = router.AddShard();
+        grown.Open();
+      }
       if (i + 1 == shrink_at && added != 0) router.RemoveShard(added);
     }
+    grown.Open();  // no growth happened (grow point past the last task)
     router.Drain();
     elastic_run.migrations = router.migrations();
     elastic_run.checkpointed_migrations = router.checkpointed_migrations();
@@ -178,7 +271,7 @@ int main(int argc, char** argv) {
     elastic_run.queries_per_sec =
         QueriesPerSec(tasks.size(), report.wall_millis);
     for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!BitwiseEqual(report.tasks[i].frontier,
+      if (!BitwiseEqual(report.tasks[holders.size() + i].frontier,
                         reference.tasks[i].frontier)) {
         elastic_run.identical = false;
       }
@@ -250,12 +343,13 @@ int main(int argc, char** argv) {
                     elastic_run.migrations > 0 && wire_identical;
   std::printf(
       "\n%s: static frontiers %s, elastic frontiers %s (%zu rebalance "
-      "migrations, %zu with mid-run checkpoints), wire round-trip %s\n",
+      "migrations, %zu with mid-run checkpoints, %zu queued for the "
+      "growth), wire round-trip %s\n",
       pass ? "PASS" : "FAIL",
       static_run.identical ? "identical" : "DIVERGED",
       elastic_run.identical ? "identical" : "DIVERGED",
       elastic_run.migrations, elastic_run.checkpointed_migrations,
-      wire_identical ? "bit-identical" : "DIVERGED");
+      growth_movers, wire_identical ? "bit-identical" : "DIVERGED");
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -279,6 +373,7 @@ int main(int argc, char** argv) {
     w.Field("elastic_qps", elastic_run.queries_per_sec);
     w.Field("migrations", elastic_run.migrations);
     w.Field("checkpointed_migrations", elastic_run.checkpointed_migrations);
+    w.Field("growth_movers", growth_movers);
     w.EndObject();
     w.BeginObject("gates");
     w.Field("static_identical", static_run.identical);

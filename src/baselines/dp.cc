@@ -92,6 +92,9 @@ bool DpSession::DoStep(const Deadline& budget) {
   // All ordered splits into (outer, inner): iterate proper sub-masks.
   // Enumerating masks in numeric order guarantees sub-masks come first.
   int64_t joins_since_check = 0;
+  // Every split joins the same tables; candidates are costed first and
+  // built only if the cache admits them.
+  const PlanFactory::SetStats& joined = factory()->StatsFor(rel);
   for (uint64_t outer = (mask - 1) & mask; outer != 0;
        outer = (outer - 1) & mask) {
     uint64_t inner = mask ^ outer;
@@ -100,7 +103,11 @@ bool DpSession::DoStep(const Deadline& budget) {
     for (const PlanPtr& o : outer_plans) {
       for (const PlanPtr& i : inner_plans) {
         for (JoinAlgorithm op : AllJoinAlgorithms()) {
-          cache_.Insert(rel, factory()->MakeJoin(o, i, op), config_.alpha);
+          const PlanProps props =
+              factory()->JoinProps(o->props(), i->props(), op, joined);
+          cache_.Insert(rel, props.cost, props.format, config_.alpha, [&] {
+            return factory()->MakeJoin(o, i, op, props);
+          });
         }
         if (++joins_since_check >= 4096) {
           joins_since_check = 0;

@@ -28,7 +28,9 @@ double AlphaForIteration(int iteration, double start, double decay, int step);
 
 /// Function ApproximateFrontiers (Algorithm 3): updates `cache` with
 /// alpha-pruned Pareto frontiers for every intermediate result appearing in
-/// `plan`. Returns the number of plans inserted into the cache.
+/// `plan`. Returns the number of plans inserted into the cache, which is
+/// also the number of plans it builds: candidates are costed first and
+/// materialized only when the cache admits them.
 int64_t ApproximateFrontiers(const PlanPtr& plan, PlanCache* cache,
                              double alpha, PlanFactory* factory);
 

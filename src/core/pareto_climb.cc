@@ -40,8 +40,10 @@ struct StepSet {
 };
 
 // Prune of Algorithm 2: keep, per output data representation, a small set
-// of mutually non-dominated plans. Rejects `candidate` if an existing plan
-// with the same representation weakly dominates it.
+// of mutually non-dominated plans. Rejects the candidate if an existing
+// plan with the same representation weakly dominates it. Decides on the
+// candidate's properties alone and calls `build` (which materializes the
+// candidate) only when the candidate is kept.
 //
 // Fused one-pass sweep over the former reject pass (same-format plan weakly
 // dominates candidate?) and evict pass (candidate strictly dominates
@@ -50,11 +52,11 @@ struct StepSet {
 // two-pass version. After a reject-free sweep no same-format row weakly
 // dominates the candidate, so "strictly dominates" reduces to "weakly
 // dominates" (equality would have rejected).
-void PruneBetter(StepSet* set, PlanPtr candidate) {
-  const CostVector& cost = candidate->cost();
-  const int metrics = cost.size();
-  const double* cand = cost.data();
-  const std::uint8_t fmt = static_cast<std::uint8_t>(candidate->format());
+template <typename Build>
+void PruneBetter(StepSet* set, const PlanProps& candidate, const Build& build) {
+  const int metrics = candidate.cost.size();
+  const double* cand = candidate.cost.data();
+  const std::uint8_t fmt = static_cast<std::uint8_t>(candidate.format);
   const size_t n = set->plans.size();
 
   std::uint8_t keep[StepSet::kCapacity];
@@ -123,7 +125,7 @@ void PruneBetter(StepSet* set, PlanPtr candidate) {
   assert(size < static_cast<size_t>(StepSet::kCapacity));
   std::copy_n(cand, CostVector::kMaxMetrics, set->Row(size));
   set->formats[size] = fmt;
-  set->plans.push_back(std::move(candidate));
+  set->plans.push_back(build());
 }
 
 }  // namespace
@@ -131,32 +133,38 @@ void PruneBetter(StepSet* set, PlanPtr candidate) {
 std::vector<PlanPtr> ParetoStep(const PlanPtr& p, PlanFactory* factory,
                                 ClimbStats* stats, PlanSpace space) {
   StepSet result;
+  auto keep_self = [&p] { return p; };
+  auto examine = [&](const PlanProps& props, const auto& build) {
+    if (stats != nullptr) ++stats->plans_examined;
+    PruneBetter(&result, props, build);
+  };
   if (p->IsJoin()) {
     // Improve sub-plans by recursive calls, then recombine every improved
-    // sub-plan pair and apply all root mutations to each combination.
+    // sub-plan pair and apply all root mutations to each combination. A
+    // recombination is costed first and built only if the step keeps it;
+    // its mutations need just its children, never the recombined node.
     std::vector<PlanPtr> outer_pareto =
         ParetoStep(p->outer(), factory, stats, space);
     std::vector<PlanPtr> inner_pareto =
         ParetoStep(p->inner(), factory, stats, space);
+    const JoinAlgorithm op = p->join_op();
     for (const PlanPtr& outer : outer_pareto) {
       for (const PlanPtr& inner : inner_pareto) {
-        PlanPtr base =
-            (outer.get() == p->outer_node() && inner.get() == p->inner_node())
-                ? p
-                : factory->MakeJoin(outer, inner, p->join_op());
-        PruneBetter(&result, base);
-        for (PlanPtr& mutated : RootMutations(base, factory, space)) {
-          if (stats != nullptr) ++stats->plans_examined;
-          PruneBetter(&result, std::move(mutated));
+        if (outer.get() == p->outer_node() && inner.get() == p->inner_node()) {
+          PruneBetter(&result, p->props(), keep_self);
+        } else {
+          const PlanProps base =
+              factory->JoinProps(outer->props(), inner->props(), op);
+          PruneBetter(&result, base, [&] {
+            return factory->MakeJoin(outer, inner, op, base);
+          });
         }
+        ForEachJoinMutation(outer, inner, op, factory, space, examine);
       }
     }
   } else {
-    PruneBetter(&result, p);
-    for (PlanPtr& mutated : RootMutations(p, factory, space)) {
-      if (stats != nullptr) ++stats->plans_examined;
-      PruneBetter(&result, std::move(mutated));
-    }
+    PruneBetter(&result, p->props(), keep_self);
+    ForEachRootMutation(p, factory, space, examine);
   }
   assert(!result.plans.empty());
   return std::move(result.plans);

@@ -30,7 +30,8 @@ namespace moqo {
 struct ClimbStats {
   /// Accepted climbing steps (path length to the local optimum).
   int steps = 0;
-  /// Plans constructed while exploring mutations.
+  /// Mutation candidates costed while exploring (ParetoStep materializes
+  /// only the ones it keeps; NaiveClimb builds every complete neighbor).
   int64_t plans_examined = 0;
 };
 

@@ -5,19 +5,15 @@
 
 namespace moqo {
 
-// `plan` is taken by reference and only copied into the entry on
-// acceptance: rejected candidates — the common case under a converged cache
-// — never touch the shared_ptr control block.
-bool PlanCache::Insert(const TableSet& rel, const PlanPtr& plan,
-                       double alpha) {
-  assert(plan->rel() == rel);
+PlanCache::Entry* PlanCache::Admit(const TableSet& rel,
+                                   const CostVector& cost,
+                                   OutputFormat format, double alpha) {
   assert(alpha >= 1.0);
   Entry& entry = cache_[rel];
 
-  const CostVector& cost = plan->cost();
   const int metrics = cost.size();
   const double* cand = cost.data();
-  const std::uint8_t fmt = static_cast<std::uint8_t>(plan->format());
+  const std::uint8_t fmt = static_cast<std::uint8_t>(format);
   const size_t n = entry.plans.size();
   assert(entry.costs.rows() == n && entry.formats.size() == n);
 
@@ -46,7 +42,7 @@ bool PlanCache::Insert(const TableSet& rel, const PlanPtr& plan,
     const double* row = entry.costs.Row(r);
     const bool reject = AllLanesLE(row, scaled);
     const bool evict = AllLanesLE(cand, row);
-    if (reject) return false;
+    if (reject) return nullptr;
     if (evict) {
       if (!any_evicted) keep_.assign(n, 1);
       keep_[r] = 0;
@@ -65,10 +61,7 @@ bool PlanCache::Insert(const TableSet& rel, const PlanPtr& plan,
     entry.formats.resize(out);
     entry.costs.Compact(keep_);
   }
-  entry.costs.PushRow(cost);
-  entry.formats.push_back(fmt);
-  entry.plans.push_back(plan);
-  return true;
+  return &entry;
 }
 
 const std::vector<PlanPtr>& PlanCache::Lookup(const TableSet& rel) const {

@@ -13,9 +13,15 @@
 // sweep of Insert runs over contiguous doubles and bytes instead of
 // dereferencing a plan node per comparison. Prune decisions are bit-for-bit
 // those of the scalar implementation.
+//
+// The sweep needs only the candidate's cost and output format, so Insert
+// takes those plus a callback that builds the plan, and builds only
+// candidates it admits: frontier approximation costs every recombination
+// but materializes only the few percent the cache keeps.
 #ifndef MOQO_CORE_PLAN_CACHE_H_
 #define MOQO_CORE_PLAN_CACHE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -39,11 +45,35 @@ class PlanCache {
 
   PlanCache() = default;
 
-  /// The paper's Prune (Algorithm 3): inserts `plan` under `rel` unless an
-  /// existing same-representation plan alpha-approximately dominates it;
-  /// evicts existing plans that the new plan (factor 1) dominates. Returns
-  /// true if the plan was inserted.
-  bool Insert(const TableSet& rel, const PlanPtr& plan, double alpha);
+  /// The paper's Prune (Algorithm 3) on a costed, not yet built candidate
+  /// for `rel`: unless an existing same-representation plan
+  /// alpha-approximately dominates (`cost`, `format`), evicts the existing
+  /// plans the candidate (factor 1) dominates, then calls `build()` — a
+  /// PlanPtr with exactly that rel, cost and format — and caches the
+  /// result. A rejected candidate is never built. Returns true if the
+  /// candidate was inserted.
+  template <typename Build>
+  bool Insert(const TableSet& rel, const CostVector& cost,
+              OutputFormat format, double alpha, const Build& build) {
+    Entry* entry = Admit(rel, cost, format, alpha);
+    if (entry == nullptr) return false;
+    PlanPtr plan = build();
+    assert(plan->rel() == rel && plan->format() == format &&
+           plan->cost().EqualTo(cost));
+    entry->costs.PushRow(cost);
+    entry->formats.push_back(static_cast<std::uint8_t>(format));
+    entry->plans.push_back(std::move(plan));
+    return true;
+  }
+
+  /// Insert for an already built plan.
+  bool Insert(const TableSet& rel, const PlanPtr& plan, double alpha) {
+    assert(plan->rel() == rel);
+    // The handle is copied into the entry only on acceptance: rejected
+    // candidates never touch the shared_ptr control block.
+    return Insert(rel, plan->cost(), plan->format(), alpha,
+                  [&plan] { return plan; });
+  }
 
   /// Cached plans for `rel`; empty if the table set was never seen.
   const std::vector<PlanPtr>& Lookup(const TableSet& rel) const;
@@ -70,6 +100,13 @@ class PlanCache {
   void Adopt(const TableSet& rel, std::vector<PlanPtr> plans);
 
  private:
+  /// The admission sweep of Insert. Returns nullptr if a same-format plan
+  /// alpha-dominates the candidate; otherwise removes the plans the
+  /// candidate dominates and returns the entry, whose plans, costs and
+  /// formats are in lockstep, for the caller to append the candidate to.
+  Entry* Admit(const TableSet& rel, const CostVector& cost,
+               OutputFormat format, double alpha);
+
   std::unordered_map<TableSet, Entry, TableSetHash> cache_;
   // Scratch keep-mask reused across inserts to avoid reallocation.
   std::vector<std::uint8_t> keep_;

@@ -56,7 +56,8 @@ struct RmqStats {
   int iterations = 0;
   /// Climbing path lengths, one entry per iteration (Figure 3, left).
   std::vector<int> path_lengths;
-  /// Total plans constructed during frontier approximation.
+  /// Total plans inserted into the plan cache by frontier approximation
+  /// (only admitted candidates are built, so also the plans it built).
   int64_t frontier_insertions = 0;
   /// Result frontier size after the most recent iteration (Figure 3,
   /// right).

@@ -7,10 +7,13 @@
 // O(1) additional space exactly as the paper's space analysis (Theorem 5)
 // assumes.
 //
-// Every node carries its derived properties, computed once at construction
-// by the PlanFactory: the joined table set `rel`, the estimated output
-// cardinality and tuple width, the output data representation, and the full
-// cost vector under the factory's cost model.
+// Every node carries its derived properties (PlanProps): the joined table
+// set `rel`, the estimated output cardinality and tuple width, the output
+// data representation, and the full cost vector under the factory's cost
+// model. The cost model is additive, so the PlanFactory computes a join's
+// properties from its children's properties alone — optimizers cost and
+// prune a candidate before deciding to build it, and a built node stores
+// exactly the properties its candidate was costed with.
 //
 // Storage and ownership: nodes live in the factory's PlanArena (see
 // plan_arena.h) as trivially destructible values, not as individual heap
@@ -49,6 +52,24 @@ using PlanIndex = std::uint32_t;
 /// arena_index() value of a node not allocated from an arena.
 inline constexpr PlanIndex kInvalidPlanIndex = ~PlanIndex{0};
 
+/// Derived properties of a (possibly not yet built) plan node: everything
+/// a node carries apart from its children and operator labels. Computed by
+/// PlanFactory::ScanProps / JoinProps without allocating a node.
+struct PlanProps {
+  /// Set of joined tables.
+  TableSet rel;
+  /// Cost vector under the factory's cost model.
+  CostVector cost;
+  /// Estimated output cardinality (rows).
+  double cardinality = 0.0;
+  /// Estimated output tuple width (bytes).
+  double tuple_bytes = 0.0;
+  /// Output data representation.
+  OutputFormat format = OutputFormat::kUnsorted;
+  /// Nodes in the subtree (2 * |rel| - 1).
+  int node_count = 1;
+};
+
 /// One node of an immutable plan tree. Construct via PlanFactory.
 class Plan {
  public:
@@ -56,7 +77,7 @@ class Plan {
   bool IsJoin() const { return outer_ != nullptr; }
 
   /// Set of tables joined by this (sub-)plan.
-  const TableSet& rel() const { return rel_; }
+  const TableSet& rel() const { return props_.rel; }
 
   /// Outer child (join nodes only). Non-owning view: valid while an owning
   /// handle to this tree (or its factory) is alive; re-own via the factory
@@ -82,20 +103,23 @@ class Plan {
   JoinAlgorithm join_op() const { return join_op_; }
 
   /// Cost vector under the owning factory's cost model.
-  const CostVector& cost() const { return cost_; }
+  const CostVector& cost() const { return props_.cost; }
 
   /// Estimated output cardinality (rows).
-  double cardinality() const { return cardinality_; }
+  double cardinality() const { return props_.cardinality; }
 
   /// Estimated output tuple width (bytes).
-  double tuple_bytes() const { return tuple_bytes_; }
+  double tuple_bytes() const { return props_.tuple_bytes; }
 
   /// Output data representation; the `SameOutput` test of Algorithms 2/3
   /// compares this tag.
-  OutputFormat format() const { return format_; }
+  OutputFormat format() const { return props_.format; }
 
   /// Total number of nodes in this subtree (2 * |rel| - 1).
-  int NodeCount() const { return node_count_; }
+  int NodeCount() const { return props_.node_count; }
+
+  /// All derived properties at once (the input of PlanFactory::JoinProps).
+  const PlanProps& props() const { return props_; }
 
   /// Dense index of this node within its arena (allocation order), or
   /// kInvalidPlanIndex if the node was not arena-allocated.
@@ -109,7 +133,7 @@ class Plan {
   friend class PlanArena;
   Plan() = default;
 
-  TableSet rel_;
+  PlanProps props_;
   // Raw pointers into the same arena: an owning child handle would make the
   // arena keep itself alive. Parent handles own the arena, which owns the
   // children, so the links can never dangle while a tree is reachable.
@@ -118,11 +142,6 @@ class Plan {
   int table_ = -1;
   ScanAlgorithm scan_op_ = ScanAlgorithm::kFullScan;
   JoinAlgorithm join_op_ = JoinAlgorithm::kNestedLoop;
-  CostVector cost_;
-  double cardinality_ = 0.0;
-  double tuple_bytes_ = 0.0;
-  OutputFormat format_ = OutputFormat::kUnsorted;
-  int node_count_ = 1;
   PlanIndex arena_index_ = kInvalidPlanIndex;
 };
 

@@ -1,8 +1,10 @@
 // Arena storage for plan nodes.
 //
-// The optimizer inner loop allocates plan nodes at a very high rate: every
-// RMQ climb step materializes dozens of candidate joins, and NSGA-II crossover
-// rebuilds whole trees per generation. Allocating each node with
+// Optimizers allocate plan nodes at a high rate: RMQ's climb and frontier
+// approximation cost every candidate but still materialize each one they
+// keep (thousands per iteration at paper scale), SA and the naive climber
+// build every neighbor they evaluate, and NSGA-II crossover rebuilds whole
+// trees per generation. Allocating each node with
 // `make_shared` costs one malloc plus one atomic control block per node and
 // scatters nodes across the heap, so dominance sweeps chase pointers.
 //

@@ -39,52 +39,96 @@ double PlanFactory::TupleBytes(const TableSet& s) {
   return StatsFor(s).tuple_bytes;
 }
 
+bool PlanFactory::ScanApplicable(int table, ScanAlgorithm op) const {
+  return cost_model_->ScanApplicable(query_->catalog().Table(table), op);
+}
+
 std::vector<ScanAlgorithm> PlanFactory::ApplicableScans(int table) const {
   std::vector<ScanAlgorithm> ops;
   for (ScanAlgorithm op : AllScanAlgorithms()) {
-    if (cost_model_->ScanApplicable(query_->catalog().Table(table), op)) {
-      ops.push_back(op);
-    }
+    if (ScanApplicable(table, op)) ops.push_back(op);
   }
   return ops;
 }
 
-PlanPtr PlanFactory::MakeScan(int table, ScanAlgorithm op) {
+PlanProps PlanFactory::ScanProps(int table, ScanAlgorithm op) {
   assert(table >= 0 && table < query_->NumTables());
   const TableStats& stats = query_->catalog().Table(table);
   assert(cost_model_->ScanApplicable(stats, op));
 
+  PlanProps props;
+  props.rel = TableSet::Singleton(table);
+  props.cost = cost_model_->ScanCost(stats, op);
+  props.cardinality = stats.cardinality;
+  props.tuple_bytes = stats.tuple_bytes;
+  props.format = FormatOf(op);
+  props.node_count = 1;
+  ++plans_costed_;
+  return props;
+}
+
+PlanProps PlanFactory::JoinProps(const PlanProps& outer,
+                                 const PlanProps& inner, JoinAlgorithm op) {
+  return JoinProps(outer, inner, op, StatsFor(outer.rel.Union(inner.rel)));
+}
+
+PlanProps PlanFactory::JoinProps(const PlanProps& outer,
+                                 const PlanProps& inner, JoinAlgorithm op,
+                                 const SetStats& joined) {
+  assert(!outer.rel.Empty() && !inner.rel.Empty());
+  assert(outer.rel.DisjointWith(inner.rel));
+  assert(joined.cardinality ==
+         StatsFor(outer.rel.Union(inner.rel)).cardinality);
+
+  PlanProps props;
+  props.rel = outer.rel.Union(inner.rel);
+  const CostVector op_cost = cost_model_->JoinCost(
+      op, outer.cardinality, outer.tuple_bytes, outer.format,
+      inner.cardinality, inner.tuple_bytes, inner.format,
+      joined.cardinality);
+  props.cost = cost_model_->Combine(outer.cost, inner.cost, op_cost);
+  props.cardinality = joined.cardinality;
+  props.tuple_bytes = joined.tuple_bytes;
+  props.format = FormatOf(op);
+  props.node_count = outer.node_count + inner.node_count + 1;
+  ++plans_costed_;
+  return props;
+}
+
+PlanPtr PlanFactory::MakeScan(int table, ScanAlgorithm op) {
+  return MakeScan(table, op, ScanProps(table, op));
+}
+
+PlanPtr PlanFactory::MakeScan(int table, ScanAlgorithm op,
+                              const PlanProps& props) {
+  assert(props.rel == TableSet::Singleton(table));
+  assert(props.format == FormatOf(op));
+
   Plan* plan = arena_->Allocate();
-  plan->rel_ = TableSet::Singleton(table);
+  plan->props_ = props;
   plan->table_ = table;
   plan->scan_op_ = op;
-  plan->cardinality_ = stats.cardinality;
-  plan->tuple_bytes_ = stats.tuple_bytes;
-  plan->format_ = FormatOf(op);
-  plan->cost_ = cost_model_->ScanCost(stats, op);
-  plan->node_count_ = 1;
   ++plans_built_;
   return PlanPtr(arena_, plan);
 }
 
-PlanPtr PlanFactory::MakeJoin(PlanPtr outer, PlanPtr inner, JoinAlgorithm op) {
+PlanPtr PlanFactory::MakeJoin(const PlanPtr& outer, const PlanPtr& inner,
+                              JoinAlgorithm op) {
   assert(outer != nullptr && inner != nullptr);
-  assert(!outer->rel().Empty() && !inner->rel().Empty());
-  assert(outer->rel().DisjointWith(inner->rel()));
+  return MakeJoin(outer, inner, op,
+                  JoinProps(outer->props(), inner->props(), op));
+}
+
+PlanPtr PlanFactory::MakeJoin(const PlanPtr& outer, const PlanPtr& inner,
+                              JoinAlgorithm op, const PlanProps& props) {
+  assert(outer != nullptr && inner != nullptr);
+  assert(props.rel == outer->rel().Union(inner->rel()));
+  assert(props.format == FormatOf(op));
+  assert(props.node_count == outer->NodeCount() + inner->NodeCount() + 1);
 
   Plan* plan = arena_->Allocate();
-  plan->rel_ = outer->rel().Union(inner->rel());
-  const SetStats& stats = StatsFor(plan->rel_);
+  plan->props_ = props;
   plan->join_op_ = op;
-  plan->cardinality_ = stats.cardinality;
-  plan->tuple_bytes_ = stats.tuple_bytes;
-  plan->format_ = FormatOf(op);
-  CostVector op_cost = cost_model_->JoinCost(
-      op, outer->cardinality(), outer->tuple_bytes(), outer->format(),
-      inner->cardinality(), inner->tuple_bytes(), inner->format(),
-      stats.cardinality);
-  plan->cost_ = cost_model_->Combine(outer->cost(), inner->cost(), op_cost);
-  plan->node_count_ = outer->NodeCount() + inner->NodeCount() + 1;
   // Children are linked as raw pointers; the parent's owning handle keeps
   // the (shared) arena — and with it both children — alive. Children built
   // by this factory live in arena_ or, after ResetArena, in an arena kept

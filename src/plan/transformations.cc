@@ -16,55 +16,10 @@ bool IsLeftDeep(const PlanPtr& p) {
 std::vector<PlanPtr> RootMutations(const PlanPtr& p, PlanFactory* factory,
                                    PlanSpace space) {
   std::vector<PlanPtr> out;
-  if (!p->IsJoin()) {
-    // Rule 2: scan operator replacement.
-    for (ScanAlgorithm op : factory->ApplicableScans(p->table())) {
-      if (op != p->scan_op()) out.push_back(factory->MakeScan(p->table(), op));
-    }
-    return out;
-  }
-
-  const PlanPtr& l = p->outer();
-  const PlanPtr& r = p->inner();
-  const JoinAlgorithm a = p->join_op();
-  const bool bushy = space == PlanSpace::kBushy;
-
-  // Rule 1: join operator replacement (shape-preserving in every space).
-  for (JoinAlgorithm op : AllJoinAlgorithms()) {
-    if (op != a) out.push_back(factory->MakeJoin(l, r, op));
-  }
-
-  // Rule 3: commutativity. In the left-deep space only the bottom pair
-  // (both operands scans) may swap without leaving the space.
-  if (bushy || !l->IsJoin()) {
-    out.push_back(factory->MakeJoin(r, l, a));
-  }
-
-  // Rules 4 and 6 require a join as outer child: L = (A b B).
-  if (l->IsJoin()) {
-    const PlanPtr& A = l->outer();
-    const PlanPtr& B = l->inner();
-    const JoinAlgorithm b = l->join_op();
-    if (bushy) {
-      // Rule 4: ((A b B) a C) -> (A b (B a C)).
-      out.push_back(factory->MakeJoin(A, factory->MakeJoin(B, r, a), b));
-    }
-    // Rule 6: ((A b B) a C) -> ((A b C) a B). Left-deep preserving.
-    out.push_back(factory->MakeJoin(factory->MakeJoin(A, r, b), B, a));
-  }
-
-  // Rules 5 and 7 require a join as inner child: R = (B b C). A left-deep
-  // plan never has one, so these fire in the bushy space only.
-  if (bushy && r->IsJoin()) {
-    const PlanPtr& B = r->outer();
-    const PlanPtr& C = r->inner();
-    const JoinAlgorithm b = r->join_op();
-    // Rule 5: (A a (B b C)) -> ((A a B) b C).
-    out.push_back(factory->MakeJoin(factory->MakeJoin(l, B, a), C, b));
-    // Rule 7: (A a (B b C)) -> (B b (A a C)).
-    out.push_back(factory->MakeJoin(B, factory->MakeJoin(l, C, a), b));
-  }
-
+  ForEachRootMutation(p, factory, space,
+                      [&](const PlanProps&, const auto& build) {
+                        out.push_back(build());
+                      });
   return out;
 }
 
@@ -129,10 +84,19 @@ PlanPtr RandomNeighbor(const PlanPtr& p, PlanFactory* factory, Rng* rng,
   int nodes = p->NodeCount();
   int target = rng->UniformInt(0, nodes - 1);
   return ReplaceAt(p, target, factory, [&](const PlanPtr& node) {
-    std::vector<PlanPtr> local = RootMutations(node, factory, space);
-    if (local.empty()) return PlanPtr(nullptr);
-    return local[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int>(local.size()) - 1))];
+    // Count the node's mutations, draw one, and build only that one.
+    int count = 0;
+    ForEachRootMutation(node, factory, space,
+                        [&](const PlanProps&, const auto&) { ++count; });
+    if (count == 0) return PlanPtr(nullptr);
+    const int pick = rng->UniformInt(0, count - 1);
+    PlanPtr chosen;
+    int index = 0;
+    ForEachRootMutation(node, factory, space,
+                        [&](const PlanProps&, const auto& build) {
+                          if (index++ == pick) chosen = build();
+                        });
+    return chosen;
   });
 }
 
